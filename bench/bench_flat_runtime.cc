@@ -1,6 +1,8 @@
 // Flattened multi-pattern runtime benchmarks: events/s of the columnar
-// arena (MultiPatternMatcher) at 16/64/256 concurrent learned queries,
-// and PredicateBank build cost at 2.5k / 10k distinct predicates (the
+// arena (MultiPatternMatcher::ProcessBatch) at window sizes B = 1..128
+// under 16/64/256 concurrent learned queries, the session-gated shape the
+// multi-session runtime deploys (256 session gates x 4 queries, B = 1 and
+// 32), and PredicateBank build cost at 2.5k / 10k distinct predicates (the
 // checkpoint+delta region index is O(P^2/stride + P log P), a
 // stride-factor cut over the dense O(P^2) index; compare the two build
 // times in BENCH_flat_runtime.json).
@@ -32,15 +34,15 @@
 namespace epl {
 namespace {
 
-std::vector<query::CompiledQuery> CompiledVariants(int count) {
+std::vector<query::CompiledQuery> CompiledVariants(
+    int count, const stream::Schema& schema = kinect::KinectSchema()) {
   std::vector<query::CompiledQuery> compiled;
   compiled.reserve(static_cast<size_t>(count));
   for (const core::GestureDefinition& definition :
        bench::LearnedVariants(count)) {
     Result<query::ParsedQuery> parsed = core::GenerateQuery(definition);
     EPL_CHECK(parsed.ok()) << parsed.status();
-    Result<query::CompiledQuery> query =
-        query::CompileQuery(*parsed, kinect::KinectSchema());
+    Result<query::CompiledQuery> query = query::CompileQuery(*parsed, schema);
     EPL_CHECK(query.ok()) << query.status();
     compiled.push_back(std::move(query).value());
   }
@@ -49,7 +51,7 @@ std::vector<query::CompiledQuery> CompiledVariants(int count) {
 
 /// The flattened runtime against the standalone per-query oracle: every
 /// pattern's match stream must be bit-identical, whether events are fed
-/// one at a time or in ProcessBatch windows.
+/// as one-event windows or in longer ProcessBatch windows.
 void VerifyFlatEquivalence(cep::MatcherOptions::Mode mode,
                            size_t batch_size) {
   std::vector<query::CompiledQuery> queries = CompiledVariants(16);
@@ -71,11 +73,7 @@ void VerifyFlatEquivalence(cep::MatcherOptions::Mode mode,
   while (pos < events.size()) {
     const size_t chunk = std::min(batch_size, events.size() - pos);
     scratch.clear();
-    if (batch_size <= 1) {
-      multi.Process(events[pos], &scratch);
-    } else {
-      multi.ProcessBatch(events.data() + pos, chunk, &scratch);
-    }
+    multi.ProcessBatch(events.data() + pos, chunk, &scratch);
     for (cep::MultiPatternMatcher::MultiMatch& match : scratch) {
       flat[static_cast<size_t>(match.pattern_index)].push_back(
           std::move(match.match));
@@ -104,67 +102,57 @@ void VerifyFlatEquivalence(cep::MatcherOptions::Mode mode,
   EPL_CHECK(total > 0) << "equivalence workload produced no matches";
 }
 
-/// Batched-vs-per-event dominance: ProcessBatch at B=32 must not be
-/// slower than per-event Process on the same 256-query workload (the
-/// regression the SIMD gate grid fixed). Wall-clock best-of-N with a
-/// noise slack, so a CI-runner hiccup cannot flake the gate while a real
-/// return of the regression (batched 2x slower pre-fix) still trips it.
+/// Batched dominance: ProcessBatch at B=32 must not be slower than
+/// one-event windows (B=1) on the same 256-query workload (the regression
+/// the SIMD gate grid fixed). Wall-clock best-of-N with a noise slack, so
+/// a CI-runner hiccup cannot flake the gate while a real return of the
+/// regression (batched 2x slower pre-fix) still trips it.
 void VerifyBatchedDominance() {
   constexpr int kQueries = 256;
   constexpr size_t kBatch = 32;
   constexpr int kPasses = 3;
-  constexpr double kSlack = 0.85;  // batched >= 85% of per-event events/s
+  constexpr double kSlack = 0.85;  // B=32 >= 85% of B=1 events/s
   std::vector<query::CompiledQuery> queries = CompiledVariants(kQueries);
   const std::vector<stream::Event>& events = bench::MatchWorkload();
   std::vector<cep::MultiPatternMatcher::MultiMatch> scratch;
 
-  auto time_once = [&](auto&& run) {
+  auto time_once = [&](size_t batch) {
     cep::MultiPatternMatcher multi;
     for (const query::CompiledQuery& query : queries) {
       multi.AddPattern(&query.pattern);
     }
     const auto start = std::chrono::steady_clock::now();
-    run(multi);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-  auto run_per_event = [&](cep::MultiPatternMatcher& multi) {
-    for (const stream::Event& event : events) {
-      scratch.clear();
-      multi.Process(event, &scratch);
-      benchmark::DoNotOptimize(scratch.size());
-    }
-  };
-  auto run_batched = [&](cep::MultiPatternMatcher& multi) {
     size_t pos = 0;
     while (pos < events.size()) {
-      const size_t chunk = std::min(kBatch, events.size() - pos);
+      const size_t chunk = std::min(batch, events.size() - pos);
       scratch.clear();
       multi.ProcessBatch(events.data() + pos, chunk, &scratch);
       benchmark::DoNotOptimize(scratch.size());
       pos += chunk;
     }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
   };
-  // Passes ALTERNATE modes so slow drift of the machine (frequency,
-  // cache, a co-tenant ramping up) hits both sides alike instead of
-  // biasing whichever mode happened to be timed second.
-  double per_event = std::numeric_limits<double>::infinity();
+  // Passes ALTERNATE window sizes so slow drift of the machine
+  // (frequency, cache, a co-tenant ramping up) hits both sides alike
+  // instead of biasing whichever size happened to be timed second.
+  double single = std::numeric_limits<double>::infinity();
   double batched = std::numeric_limits<double>::infinity();
   for (int pass = 0; pass < kPasses; ++pass) {
-    per_event = std::min(per_event, time_once(run_per_event));
-    batched = std::min(batched, time_once(run_batched));
+    single = std::min(single, time_once(1));
+    batched = std::min(batched, time_once(kBatch));
   }
-  EPL_CHECK(batched <= per_event / kSlack)
-      << "batched (B=" << kBatch << ") slower than per-event at " << kQueries
-      << " queries: " << batched << "s vs " << per_event
+  EPL_CHECK(batched <= single / kSlack)
+      << "batched (B=" << kBatch << ") slower than B=1 at " << kQueries
+      << " queries: " << batched << "s vs " << single
       << "s (dispatch: " << cep::simd::DispatchName() << ")";
 }
 
 /// Run the cross-check at program start, not lazily inside a benchmark:
 /// the gate must hold even when a --benchmark_filter skips every
-/// benchmark that would have tripped it. Batched legs gate the
-/// ProcessFlatBatch path the batch-sweep benchmark below measures.
+/// benchmark that would have tripped it. The legs gate the window sizes
+/// the batch-sweep benchmark below measures.
 const bool kFlatEquivalenceVerified = [] {
   VerifyFlatEquivalence(cep::MatcherOptions::Mode::kDominant, 1);
   VerifyFlatEquivalence(cep::MatcherOptions::Mode::kDominant, 8);
@@ -178,43 +166,10 @@ const bool kFlatEquivalenceVerified = [] {
   return true;
 }();
 
-/// The columnar arena end to end: one MultiPatternMatcher serving N
-/// distinct learned queries that all fire on the workload.
-void BM_FlatRuntimeConcurrentQueries(benchmark::State& state) {
-  const int num_queries = static_cast<int>(state.range(0));
-  std::vector<query::CompiledQuery> queries = CompiledVariants(num_queries);
-  cep::MultiPatternMatcher multi;
-  for (const query::CompiledQuery& query : queries) {
-    multi.AddPattern(&query.pattern);
-  }
-  const std::vector<stream::Event>& events = bench::MatchWorkload();
-  std::vector<cep::MultiPatternMatcher::MultiMatch> scratch;
-  uint64_t matches = 0;
-  for (auto _ : state) {
-    for (const stream::Event& event : events) {
-      scratch.clear();
-      multi.Process(event, &scratch);
-      matches += scratch.size();
-    }
-  }
-  benchmark::DoNotOptimize(matches);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(events.size()));
-  state.counters["queries"] = num_queries;
-  state.counters["bank_predicates"] = multi.bank().num_predicates();
-  const cep::PredicateBankStats& bank_stats = multi.bank().stats();
-  const double stabs = static_cast<double>(bank_stats.region_memo_hits +
-                                           bank_stats.region_searches);
-  state.counters["memo_hit_rate"] =
-      stabs > 0 ? static_cast<double>(bank_stats.region_memo_hits) / stabs
-                : 0.0;
-}
-BENCHMARK(BM_FlatRuntimeConcurrentQueries)->Arg(16)->Arg(64)->Arg(256);
-
 /// The batch sweep: events/s of ProcessBatch at window size B (range 0)
-/// under N concurrent queries (range 1). B = 1 measures the batched
-/// path's fixed overhead against BM_FlatRuntimeConcurrentQueries; rising
-/// B amortizes the per-pattern sweep setup and the bank's per-field walk.
+/// under N concurrent ungated queries (range 1). B = 1 is the one-event
+/// window every event takes at the runtime default batch_size; rising B
+/// amortizes the per-pattern sweep setup and the bank's per-field walk.
 void BM_FlatRuntimeBatched(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));
   const int num_queries = static_cast<int>(state.range(1));
@@ -241,6 +196,13 @@ void BM_FlatRuntimeBatched(benchmark::State& state) {
                           static_cast<int64_t>(events.size()));
   state.counters["batch"] = static_cast<double>(batch_size);
   state.counters["queries"] = num_queries;
+  state.counters["bank_predicates"] = multi.bank().num_predicates();
+  const cep::PredicateBankStats& bank_stats = multi.bank().stats();
+  const double stabs = static_cast<double>(bank_stats.region_memo_hits +
+                                           bank_stats.region_searches);
+  state.counters["memo_hit_rate"] =
+      stabs > 0 ? static_cast<double>(bank_stats.region_memo_hits) / stabs
+                : 0.0;
 }
 BENCHMARK(BM_FlatRuntimeBatched)
     ->Args({1, 16})
@@ -255,6 +217,69 @@ BENCHMARK(BM_FlatRuntimeBatched)
     ->Args({8, 256})
     ->Args({32, 256})
     ->Args({128, 256});
+
+/// The session-gated shape of the multi-session runtime: S sessions
+/// (range 1) each run the same 4 learned queries behind their own session
+/// gate (a range predicate on an appended "session" field), and every
+/// frame of the workload arrives once per session, so each event opens
+/// exactly one gate group. Swept at window size B (range 0): B = 1 is the
+/// one-event window (the open group found from row 0's gate bits, no gate
+/// column), B = 32 extracts a gate column per open group.
+void BM_FlatRuntimeGatedSessions(benchmark::State& state) {
+  constexpr int kQueriesPerSession = 4;
+  const size_t batch_size = static_cast<size_t>(state.range(0));
+  const int num_sessions = static_cast<int>(state.range(1));
+  stream::Schema schema = kinect::KinectSchema();
+  const size_t session_field = static_cast<size_t>(schema.AddField("session"));
+  std::vector<query::CompiledQuery> queries =
+      CompiledVariants(kQueriesPerSession, schema);
+  std::vector<cep::CompiledPattern> gates;
+  gates.reserve(static_cast<size_t>(num_sessions));
+  for (int s = 0; s < num_sessions; ++s) {
+    cep::PatternExprPtr pose = cep::PatternExpr::Pose(
+        "s", cep::Expr::RangePredicate("session", s, 0.5));
+    Result<cep::CompiledPattern> gate =
+        cep::CompiledPattern::Compile(*pose, schema);
+    EPL_CHECK(gate.ok()) << gate.status();
+    gates.push_back(std::move(gate).value());
+  }
+  cep::MultiPatternMatcher multi;
+  for (const cep::CompiledPattern& gate : gates) {
+    for (const query::CompiledQuery& query : queries) {
+      multi.AddPattern(&query.pattern, &gate);
+    }
+  }
+
+  std::vector<stream::Event> events;
+  for (const stream::Event& frame : bench::MatchWorkload()) {
+    for (int s = 0; s < num_sessions; ++s) {
+      stream::Event event = frame;
+      event.values.resize(session_field + 1, 0.0);
+      event.values[session_field] = static_cast<double>(s);
+      events.push_back(std::move(event));
+    }
+  }
+  std::vector<cep::MultiPatternMatcher::MultiMatch> scratch;
+  uint64_t matches = 0;
+  for (auto _ : state) {
+    size_t pos = 0;
+    while (pos < events.size()) {
+      const size_t chunk = std::min(batch_size, events.size() - pos);
+      scratch.clear();
+      multi.ProcessBatch(events.data() + pos, chunk, &scratch);
+      matches += scratch.size();
+      pos += chunk;
+    }
+  }
+  benchmark::DoNotOptimize(matches);
+  EPL_CHECK(matches > 0) << "gated workload produced no matches";
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(events.size()));
+  state.counters["batch"] = static_cast<double>(batch_size);
+  state.counters["sessions"] = num_sessions;
+  state.counters["queries"] = num_sessions * kQueriesPerSession;
+}
+BENCHMARK(BM_FlatRuntimeGatedSessions)->Args({1, 256})->Args({32, 256});
 
 /// Bank construction at paper-scale predicate counts. The checkpoint+delta
 /// region index cuts build time and index_bytes by the stride factor:

@@ -149,30 +149,30 @@ void CompositeRunner::RunEpoch() {
     spill_.clear();
     if (!level.queries.empty()) {
       const bool feeds_higher = k + 1 < levels_.size();
-      for (size_t i = 0; i < visible; ++i) {
-        scratch_.clear();
-        level.matcher.Process(epoch_[i], &scratch_);
-        // Matches arrive grouped by pattern index in registration order;
-        // combined with the outer loop this realizes the documented
-        // (event-seq, level, query-id) total order.
-        for (const MultiPatternMatcher::MultiMatch& mm : scratch_) {
-          const CompositeQuery& query =
-              level.queries[static_cast<size_t>(mm.pattern_index)];
-          Detection detection;
-          detection.name = query.output_name;
-          detection.time = mm.match.end_time();
-          detection.pose_times = mm.match.state_times;
-          detection.measures.reserve(query.measures.size());
-          for (const ExprProgram& program : query.measures) {
-            detection.measures.push_back(program.Eval(epoch_[i]));
-          }
-          if (query.callback) {
-            query.callback(detection);
-          }
-          if (feeds_higher) {
-            spill_.push_back(
-                MakeDerivedEvent(query.tag, query.session_tag, detection));
-          }
+      scratch_.clear();
+      level.matcher.ProcessBatch(epoch_.data(), visible, &scratch_);
+      // Matches arrive in (batch_index, pattern_index) order, i.e. in
+      // collection order and then registration order: the documented
+      // (event-seq, level, query-id) total order.
+      for (const MultiPatternMatcher::MultiMatch& mm : scratch_) {
+        const CompositeQuery& query =
+            level.queries[static_cast<size_t>(mm.pattern_index)];
+        const stream::Event& source =
+            epoch_[static_cast<size_t>(mm.batch_index)];
+        Detection detection;
+        detection.name = query.output_name;
+        detection.time = mm.match.end_time();
+        detection.pose_times = mm.match.state_times;
+        detection.measures.reserve(query.measures.size());
+        for (const ExprProgram& program : query.measures) {
+          detection.measures.push_back(program.Eval(source));
+        }
+        if (query.callback) {
+          query.callback(detection);
+        }
+        if (feeds_higher) {
+          spill_.push_back(
+              MakeDerivedEvent(query.tag, query.session_tag, detection));
         }
       }
     }

@@ -152,7 +152,7 @@ class CompositeRunner {
 
   /// Runs the epoch to its fixed point: for each level in ascending
   /// order, feeds every derived event visible so far to that level's
-  /// patterns (per-event, in collection order), dispatches completed
+  /// patterns (as one window, in collection order), dispatches completed
   /// matches (collection order, then registration order) through their
   /// callbacks, and appends the resulting detections as derived events
   /// visible to higher levels. Matcher state persists across epochs, so

@@ -34,9 +34,11 @@ void NfaMatcher::Process(const stream::Event& event,
 }
 
 void NfaMatcher::ProcessShared(const stream::Event& event,
-                               const PredicateBank& bank, const int* bank_ids,
+                               const PredicateBank& bank, size_t row,
+                               const int* bank_ids,
                                std::vector<PatternMatch>* out) {
   shared_bank_ = &bank;
+  shared_row_ = row;
   shared_bank_ids_ = bank_ids;
   // Clear the shared context even if Process throws, so a later plain
   // Process does not read stale bank state.
@@ -138,7 +140,8 @@ bool NfaMatcher::EvalPredicate(int state, const stream::Event& event) {
   if (cached < 0) {
     if (shared_bank_ != nullptr) {
       ++stats_.predicate_cache_hits;
-      cached = shared_bank_->value(shared_bank_ids_[slot]) ? 1 : 0;
+      cached =
+          shared_bank_->batch_value(shared_row_, shared_bank_ids_[slot]);
     } else {
       ++stats_.predicate_evaluations;
       cached = pattern_->predicate(state).EvalBool(event) ? 1 : 0;

@@ -94,16 +94,17 @@ class NfaMatcher {
   /// Events must arrive in non-decreasing timestamp order.
   void Process(const stream::Event& event, std::vector<PatternMatch>* out);
 
-  /// Like Process, but predicate truth is read from `bank` (which must
-  /// already have Evaluate()d this event) instead of evaluated here:
-  /// `bank_ids[i]` is the bank predicate id of distinct predicate `i` (see
-  /// CompiledPattern::predicate_id), with num_distinct_predicates()
-  /// entries. Lookups stay lazy -- only predicates the NFA actually
-  /// consults are read -- and count as predicate_cache_hits. Used by
-  /// MultiPatternMatcher, which evaluates one shared PredicateBank per
-  /// event for all deployed patterns.
+  /// Like Process, but predicate truth is read from row `row` of `bank`'s
+  /// last EvaluateBatch window (which must hold this event) instead of
+  /// evaluated here: `bank_ids[i]` is the bank predicate id of distinct
+  /// predicate `i` (see CompiledPattern::predicate_id), with
+  /// num_distinct_predicates() entries. Lookups stay lazy -- only
+  /// predicates the NFA actually consults are read -- and count as
+  /// predicate_cache_hits. Used by MultiPatternMatcher, which evaluates
+  /// one shared PredicateBank per window for all deployed patterns.
   void ProcessShared(const stream::Event& event, const PredicateBank& bank,
-                     const int* bank_ids, std::vector<PatternMatch>* out);
+                     size_t row, const int* bank_ids,
+                     std::vector<PatternMatch>* out);
 
   /// Discards all partial runs.
   void Reset();
@@ -148,6 +149,7 @@ class NfaMatcher {
 
   // Shared-bank evaluation context, set for the duration of ProcessShared.
   const PredicateBank* shared_bank_ = nullptr;
+  size_t shared_row_ = 0;
   const int* shared_bank_ids_ = nullptr;
 
   // Dominant mode: one run per state (runs_[k] holds entries 0..k).

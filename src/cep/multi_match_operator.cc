@@ -271,13 +271,7 @@ void MultiMatchOperator::RunBatch(const stream::Event* events, size_t count) {
   }
   processing_ = true;
   scratch_matches_.clear();
-  if (count == 1) {
-    // Single events keep today's per-event matcher path (ProcessFlat);
-    // batch_index defaults to 0.
-    matcher_.Process(events[0], &scratch_matches_);
-  } else {
-    matcher_.ProcessBatch(events, count, &scratch_matches_);
-  }
+  matcher_.ProcessBatch(events, count, &scratch_matches_);
   catchup_ids_.clear();
   // Until the first mid-batch mutation, pattern indices are live and
   // dispatch is a direct lookup; afterwards matches resolve through their

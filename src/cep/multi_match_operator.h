@@ -14,11 +14,12 @@
 // callback are deferred until the current event finishes on the old query
 // set, then applied in call order.
 //
-// Batched execution: with batch_size > 1 the operator accumulates incoming
-// events and runs them through MultiPatternMatcher::ProcessBatch in one
-// sweep, which amortizes the per-pattern loop overhead of the flattened
-// runtime (detection callbacks then fire at flush boundaries, still in
-// exact per-event order). Every control operation -- AddQuery /
+// Every sweep runs through MultiPatternMatcher::ProcessBatch; with
+// batch_size 1 each event is its own one-event window. Batched execution:
+// with batch_size > 1 the operator accumulates incoming events and sweeps
+// them as one window, which amortizes the per-pattern loop overhead of the
+// flattened runtime (detection callbacks then fire at flush boundaries,
+// still in exact per-event order). Every control operation -- AddQuery /
 // RemoveQuery / Extract / Adopt / ResetMatchers / Close -- flushes the
 // accumulated window first, so query membership boundaries are untouched
 // by batching: a query added (removed) between two Process calls sees
@@ -59,8 +60,8 @@ namespace epl::cep {
 
 class MultiMatchOperator : public stream::Operator {
  public:
-  /// `batch_size` events are accumulated per matcher sweep (1 = process
-  /// every event immediately, today's per-event behavior).
+  /// `batch_size` events are accumulated per matcher sweep (1 = sweep
+  /// every event immediately as a one-event window).
   explicit MultiMatchOperator(MatcherOptions options = MatcherOptions(),
                               size_t batch_size = 1);
 
@@ -159,8 +160,8 @@ class MultiMatchOperator : public stream::Operator {
   void FlushBatchedEvents();
 
   /// Called with the in-window event index right before that event's
-  /// detections are dispatched during a batch sweep (including
-  /// single-event processing, with index 0). ShardedEngine uses it to
+  /// detections are dispatched during a sweep (index 0 for a one-event
+  /// window). ShardedEngine uses it to
   /// stamp recorded matches with exact event sequence numbers.
   using BatchEventHook = std::function<void(size_t)>;
   void set_batch_event_hook(BatchEventHook hook) {

@@ -1,15 +1,17 @@
 // MultiPatternMatcher: many concurrent patterns over one shared
 // PredicateBank, with runtime add/remove.
 //
-// Per-event predicate evaluation happens once in the shared bank: the bank
-// produces a satisfied-predicate bitset and every pattern reads its slice
-// of it. In the default dominant mode the per-pattern execution layer is
-// FLATTENED into a columnar (struct-of-arrays) runtime owned by this
-// class: the dominant run state of all patterns lives in one arena --
-// entry timestamps in a flat `times_` block per (pattern, state) row plus
-// one active bitset -- advanced by a single tight loop that reads the
-// bank's satisfied-predicate words directly. No per-pattern predicate
-// cache clears, no ProcessShared indirection, no per-run heap vectors.
+// Predicate evaluation happens once per event window in the shared bank:
+// the bank produces one satisfied-predicate bitset row per event and every
+// pattern reads its slice of it. In the default dominant mode the
+// per-pattern execution layer is FLATTENED into a columnar
+// (struct-of-arrays) runtime owned by this class: the dominant run state
+// of all patterns lives in one arena -- entry timestamps in a flat
+// `times_` block per (pattern, state) row plus one active bitset --
+// advanced by a single tight loop that reads the bank's result rows
+// directly. No per-pattern predicate cache clears, no ProcessShared
+// indirection, no per-run heap vectors. ProcessBatch is the only
+// processing entry point; a single event is a one-event window.
 //
 // Each registered CompiledPattern still keeps an NfaMatcher object: it is
 // the behavioral oracle (the arena loop reproduces ProcessDominant
@@ -23,7 +25,7 @@
 // which keeps `select all` semantics untouched.
 //
 // The pattern set is mutable at runtime. Add/Remove/Adopt/Extract mark the
-// bank dirty; the next Process() swaps in a freshly built bank (generation
+// bank dirty; the next ProcessBatch() swaps in a freshly built bank (generation
 // counter incremented) and rebuilds the arena before evaluating the event,
 // so the event that is currently in flight -- and any event processed
 // before the mutation -- finishes entirely on the old bank. Surviving
@@ -55,8 +57,8 @@ class MultiPatternMatcher {
 
   /// Registers `pattern` (must outlive the matcher and share the schema of
   /// every other registered pattern); returns the pattern's index. May be
-  /// called at any time between Process() calls; the shared bank and the
-  /// run-state arena are rebuilt lazily by the next Process().
+  /// called at any time between ProcessBatch() calls; the shared bank and
+  /// the run-state arena are rebuilt lazily by the next ProcessBatch().
   ///
   /// `gate` (optional, caller-owned, must outlive the matcher) is a
   /// single-state pattern whose only predicate the matcher ENFORCES as an
@@ -71,7 +73,7 @@ class MultiPatternMatcher {
   ///
   /// Execution: patterns whose gates share one bank predicate (same
   /// canonical key) form a group; the dominant flat loop decides a whole
-  /// group with ONE predicate read per event -- gate unsatisfied skips
+  /// group with ONE gate read per event -- gate unsatisfied skips
   /// every member outright (output-exact: this runtime has no eager run
   /// expiry, so an event that can satisfy no effective state predicate is
   /// a pure no-op for the pattern), gate satisfied runs the members on
@@ -99,7 +101,7 @@ class MultiPatternMatcher {
 
   /// Appends a matcher detached from another MultiPatternMatcher (its run
   /// state is preserved and ingested into the arena by the next
-  /// Process()); returns the pattern's index here. `gate` as in
+  /// ProcessBatch()); returns the pattern's index here. `gate` as in
   /// AddPattern (a detached query's gate travels with it across shards).
   int AdoptPattern(std::unique_ptr<NfaMatcher> matcher,
                    const CompiledPattern* gate = nullptr);
@@ -109,33 +111,28 @@ class MultiPatternMatcher {
     int pattern_index = 0;
     PatternMatch match;
     /// Index of the completing event inside the window passed to
-    /// ProcessBatch (always 0 for single-event Process), so batched
-    /// output can be merged in per-event order.
+    /// ProcessBatch, so batched output can be merged in per-event order.
     int batch_index = 0;
   };
 
-  /// Feeds one event to every pattern; appends completed matches to `out`
-  /// (not cleared), grouped by pattern index in registration order.
-  /// Rebuilds the shared bank and the arena first if the pattern set
-  /// changed.
-  void Process(const stream::Event& event, std::vector<MultiMatch>* out);
-
-  /// Batched Process: feeds the `count` events of `events` (in stream
-  /// order) to every pattern, appending exactly the matches `count`
-  /// single-event Process calls would produce, in the same order --
-  /// ascending batch_index, and within one event grouped by pattern index
-  /// -- each tagged with the in-batch index of its completing event. In
-  /// dominant mode the bank answers the whole window in one pass per field
-  /// (EvaluateBatch) and the flattened loop advances each (pattern, state)
-  /// arena row across all `count` events before touching the next pattern,
-  /// so per-pattern loop overhead is paid once per batch instead of once
-  /// per event. The batched loop is a separate code path from ProcessFlat;
-  /// tests/cep_differential_fuzz_test.cc asserts they stay bit-identical.
+  /// Feeds the `count` events of `events` (in stream order) to every
+  /// pattern, appending completed matches to `out` (not cleared) in
+  /// ascending batch_index, and within one event by pattern index in
+  /// registration order -- each tagged with the in-batch index of its
+  /// completing event. The output does not depend on how a stream is cut
+  /// into windows. Rebuilds the shared bank and the arena first if the
+  /// pattern set changed. In dominant mode the bank answers the whole
+  /// window in one pass per field (EvaluateBatch) and the flattened loop
+  /// advances each (pattern, state) arena row across all `count` events
+  /// before touching the next pattern, so per-pattern loop overhead is
+  /// paid once per window instead of once per event.
+  /// tests/cep_differential_fuzz_test.cc pins the output, for one-event
+  /// and longer windows, against per-pattern NfaMatcher oracles.
   void ProcessBatch(const stream::Event* events, size_t count,
                     std::vector<MultiMatch>* out);
 
   /// Feeds `event` to ONLY the pattern at `index`, which must have been
-  /// added (or adopted) since the last Process/ProcessBatch call and
+  /// added (or adopted) since the last ProcessBatch call and
   /// therefore is not arena-resident yet. This is how a query added from
   /// inside a detection callback catches up on the remaining events of a
   /// batch its neighbours already consumed (see MultiMatchOperator);
@@ -155,7 +152,7 @@ class MultiPatternMatcher {
   const NfaMatcher& matcher(int pattern_index) const;
   const PredicateBank& bank() const { return *bank_; }
   /// Number of bank swaps so far. Each mutation batch between two
-  /// Process() calls costs exactly one rebuild.
+  /// ProcessBatch() calls costs exactly one rebuild.
   uint64_t bank_generation() const { return bank_generation_; }
 
  private:
@@ -181,8 +178,6 @@ class MultiPatternMatcher {
     const CompiledPattern* gate = nullptr;
     /// Bank predicate id of the gate (rebuilt with the bank).
     int gate_bank_id = -1;
-    /// Index into groups_, or -1 (rebuilt with the arena).
-    int32_t gate_group = -1;
     /// Dominant-mode arena residency. While true, the pattern's live run
     /// state is the arena rows below, not the matcher's own buffers.
     bool in_arena = false;
@@ -196,9 +191,9 @@ class MultiPatternMatcher {
   };
 
   /// Per-row (pattern, state) predicate access, precomputed against the
-  /// current bank: a (word, mask) pair into the bank's satisfied-predicate
-  /// words for decomposable predicates, or the bank id for fallback
-  /// lookups; plus this state's slice of the flattened time constraints.
+  /// current bank: a (word, mask) pair into a bank result row for
+  /// decomposable predicates, or the bank id for fallback lookups; plus
+  /// this state's slice of the flattened time constraints.
   struct StateRef {
     int32_t word = -1;
     uint64_t mask = 0;
@@ -233,19 +228,9 @@ class MultiPatternMatcher {
   /// Lays the flat arena out against the current (built) bank, carrying
   /// over arena-resident run state and ingesting matcher-resident state.
   void BuildArena();
-  /// The flattened dominant-mode hot loop.
-  void ProcessFlat(const stream::Event& event, std::vector<MultiMatch>* out);
-  /// One entry's advance+seed step of ProcessFlat (`words` are the bank's
-  /// satisfied-predicate words for the current event).
-  void AdvanceEntryFlat(size_t i, TimePoint now, const uint64_t* words,
-                        std::vector<MultiMatch>* out);
-  /// Truth of the entry's gate for the last Evaluate()d event (true when
-  /// ungated). Used by the exhaustive path; the dominant paths read gate
-  /// truth group-wise.
-  bool GateOpen(const Entry& entry) const;
-  /// The batched flattened loop: pattern-major over the event window (the
-  /// bank must already have EvaluateBatch()d it). Emits matches sorted by
-  /// (batch_index, pattern_index).
+  /// The flattened dominant-mode hot loop: pattern-major over the event
+  /// window (the bank must already have EvaluateBatch()d it). Emits
+  /// matches sorted by (batch_index, pattern_index).
   void ProcessFlatBatch(const stream::Event* events, size_t count,
                         std::vector<MultiMatch>* out);
   /// Folds the entry's arena counters into its matcher's MatcherStats.
@@ -254,7 +239,7 @@ class MultiPatternMatcher {
   /// buffers (the arena stays authoritative unless the entry leaves it).
   void SyncRunState(const Entry& entry) const;
 
-  /// Raised for the duration of one Process/ProcessBatch sweep. A matcher
+  /// Raised for the duration of one ProcessBatch sweep. A matcher
   /// sweep is a single-executor work unit: ShardedEngine's work stealing
   /// may run CONSECUTIVE sweeps on different threads (the handoff is
   /// ordered by its pool lock), but never two sweeps at once -- this
@@ -280,20 +265,24 @@ class MultiPatternMatcher {
   std::vector<StateRef> states_;
   std::vector<FlatConstraint> flat_constraints_;
 
-  // Gate groups (empty unless some pattern registered with a gate; the
-  // ungated flat paths are byte-for-byte the pre-gate loops).
-  bool has_gates_ = false;
+  // Gate groups (empty unless some pattern registered with a gate), and
+  // their lookup from the bank's result rows (rebuilt by BuildArena):
+  // gate_bits_ has the bit of every decomposable gate predicate set (one
+  // word per row word), group_of_gate_slot_ maps such a bit's slot to its
+  // group, and fallback_gate_groups_ lists the groups whose gate is a
+  // fallback predicate.
   std::vector<GateGroup> groups_;
   std::vector<uint32_t> ungated_members_;
-  std::vector<MultiMatch> flat_scratch_;
-  // Per-batch gate truth as bitmask columns: groups_ x ceil(count / 64)
-  // words, bit b of a group's column = gate open for in-batch event b.
-  // Extracted from the bank's result-word rows by the SIMD gate kernel;
-  // members then visit only the SET bits (ctz iteration), so a pattern's
-  // per-window cost is O(open events), not O(count). group_open_ keeps the
-  // per-group any-event-open summary for whole-window skips.
-  std::vector<uint64_t> gate_truth_;
-  std::vector<uint8_t> group_open_;
+  std::vector<uint64_t> gate_bits_;
+  std::vector<uint32_t> group_of_gate_slot_;
+  std::vector<uint32_t> fallback_gate_groups_;
+  // Per-window sweep scratch: the candidate groups (gate open for some
+  // event of the window), and one group's gate column -- ceil(count / 64)
+  // words, bit b = gate open for in-batch event b -- whose SET bits the
+  // members visit (ctz iteration), so a pattern's per-window cost is
+  // O(open events), not O(count).
+  std::vector<uint32_t> open_groups_;
+  std::vector<uint64_t> gate_column_;
 };
 
 }  // namespace epl::cep

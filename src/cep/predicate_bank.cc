@@ -502,9 +502,6 @@ void PredicateBank::Build() {
     index.memo_words.assign(num_words, 0);
     fields_.push_back(std::move(index));
   }
-
-  result_words_.assign(num_words, 0);
-  fallback_values_.assign(fallback_programs_.size(), -1);
 }
 
 bool PredicateBank::RegionContains(const FieldIndex& index, size_t region,
@@ -536,6 +533,19 @@ void PredicateBank::SeekRegion(FieldIndex* index, size_t region) const {
   index->memo_valid = true;
 }
 
+void PredicateBank::StabRegion(FieldIndex* index, double v) {
+  if (index->memo_valid && RegionContains(*index, index->memo_region, v)) {
+    ++stats_.region_memo_hits;
+    return;
+  }
+  ++stats_.region_searches;
+  const size_t pos = static_cast<size_t>(
+      std::lower_bound(index->bounds.begin(), index->bounds.end(), v) -
+      index->bounds.begin());
+  const bool on_bound = pos < index->bounds.size() && index->bounds[pos] == v;
+  SeekRegion(index, on_bound ? 2 * pos + 1 : 2 * pos);
+}
+
 size_t PredicateBank::index_bytes() const {
   size_t bytes = 0;
   for (const FieldIndex& index : fields_) {
@@ -549,65 +559,42 @@ size_t PredicateBank::index_bytes() const {
   return bytes;
 }
 
-void PredicateBank::Evaluate(const stream::Event& event) {
-  if (!built_) {
-    Build();
-  }
-  ++stats_.events;
-
-  const simd::Kernels& kernels = simd::Active();
-  const size_t num_words = result_words_.size();
-  // Walk the fields updating memos (exactly as before), but defer the
-  // bitset arithmetic: the fold kernel ANDs every field's contribution
-  // into the result row in ONE pass, so the row is written once per event
-  // instead of once per field.
-  fold_and_srcs_.clear();
-  fold_not_srcs_.clear();
-  for (FieldIndex& index : fields_) {
-    double v = event.values[index.field];
-    if (std::isnan(v)) {
-      // No interval contains NaN; clear every predicate constrained here.
-      fold_not_srcs_.push_back(index.constrained.data());
-      continue;
-    }
-    if (index.memo_valid && RegionContains(index, index.memo_region, v)) {
-      ++stats_.region_memo_hits;
-    } else {
-      ++stats_.region_searches;
-      size_t pos = static_cast<size_t>(
-          std::lower_bound(index.bounds.begin(), index.bounds.end(), v) -
-          index.bounds.begin());
-      size_t region = (pos < index.bounds.size() && index.bounds[pos] == v)
-                          ? 2 * pos + 1
-                          : 2 * pos;
-      SeekRegion(&index, region);
-    }
-    fold_and_srcs_.push_back(index.memo_words.data());
-  }
-  simd::FoldInto(kernels, result_words_.data(), fold_and_srcs_.data(),
-                 fold_and_srcs_.size(), fold_not_srcs_.data(),
-                 fold_not_srcs_.size(), num_words);
-
-  // Fallback predicates are interpreted lazily in value(), so events on
-  // which no NFA run consults them skip the program interpretations; the
-  // bank keeps a small capacity-reusing event copy for those deferred
-  // reads.
-  if (!fallback_values_.empty()) {
-    std::fill(fallback_values_.begin(), fallback_values_.end(), -1);
-    current_event_.timestamp = event.timestamp;
-    current_event_.values.assign(event.values.begin(), event.values.end());
-  }
-}
-
 void PredicateBank::EvaluateBatch(const stream::Event* events, size_t count) {
   if (!built_) {
     Build();
   }
   stats_.events += count;
   batch_events_ = events;
+  if (!fallback_programs_.empty()) {
+    batch_fallback_values_.assign(fallback_programs_.size() * count, -1);
+  }
 
   const simd::Kernels& kernels = simd::Active();
   const size_t num_words = words();
+  if (count == 1) {
+    // One-event window (the per-event runtime default): walk the fields
+    // updating memos, but defer the bitset arithmetic -- the fold kernel
+    // ANDs every field's contribution into the single row in ONE pass, so
+    // the row is written once instead of once per field.
+    fold_and_srcs_.clear();
+    fold_not_srcs_.clear();
+    for (FieldIndex& index : fields_) {
+      const double v = events[0].values[index.field];
+      if (std::isnan(v)) {
+        // No interval contains NaN; clear every predicate constrained here.
+        fold_not_srcs_.push_back(index.constrained.data());
+        continue;
+      }
+      StabRegion(&index, v);
+      fold_and_srcs_.push_back(index.memo_words.data());
+    }
+    batch_words_.resize(num_words);
+    simd::FoldInto(kernels, batch_words_.data(), fold_and_srcs_.data(),
+                   fold_and_srcs_.size(), fold_not_srcs_.data(),
+                   fold_not_srcs_.size(), num_words);
+    return;
+  }
+
   batch_words_.assign(num_words * count, ~uint64_t{0});
   for (FieldIndex& index : fields_) {
     // One memo walk over the whole window, run-length compressed: event b
@@ -617,7 +604,7 @@ void PredicateBank::EvaluateBatch(const stream::Event* events, size_t count) {
     // word loop per event.
     size_t b = 0;
     while (b < count) {
-      double v = events[b].values[index.field];
+      const double v = events[b].values[index.field];
       if (std::isnan(v)) {
         // No interval contains NaN; clear every predicate constrained
         // here. The memo stays valid for the next event.
@@ -626,20 +613,7 @@ void PredicateBank::EvaluateBatch(const stream::Event* events, size_t count) {
         ++b;
         continue;
       }
-      if (index.memo_valid && RegionContains(index, index.memo_region, v)) {
-        ++stats_.region_memo_hits;
-        ++stats_.batch_broadcast_rows;
-      } else {
-        ++stats_.region_searches;
-        ++stats_.batch_recomputed_rows;
-        size_t pos = static_cast<size_t>(
-            std::lower_bound(index.bounds.begin(), index.bounds.end(), v) -
-            index.bounds.begin());
-        size_t region = (pos < index.bounds.size() && index.bounds[pos] == v)
-                            ? 2 * pos + 1
-                            : 2 * pos;
-        SeekRegion(&index, region);
-      }
+      StabRegion(&index, v);
       size_t run_end = b + 1;
       while (run_end < count) {
         const double next = events[run_end].values[index.field];
@@ -651,15 +625,10 @@ void PredicateBank::EvaluateBatch(const stream::Event* events, size_t count) {
       }
       const size_t run = run_end - b;
       stats_.region_memo_hits += run - 1;
-      stats_.batch_broadcast_rows += run - 1;
       simd::AndRows(kernels, batch_words_.data() + b * num_words, num_words,
                     run, index.memo_words.data(), num_words);
       b = run_end;
     }
-  }
-
-  if (!fallback_programs_.empty()) {
-    batch_fallback_values_.assign(fallback_programs_.size() * count, -1);
   }
 }
 
@@ -677,24 +646,6 @@ bool PredicateBank::batch_value(size_t b, int id) const {
     cached =
         fallback_programs_[static_cast<size_t>(predicate.slot)]->EvalBool(
             batch_events_[b])
-            ? 1
-            : 0;
-  }
-  return cached == 1;
-}
-
-bool PredicateBank::value(int id) const {
-  const Predicate& predicate = predicates_[id];
-  if (predicate.decomposable) {
-    const size_t bit = static_cast<size_t>(predicate.slot);
-    return (result_words_[bit >> 6] >> (bit & 63)) & 1;
-  }
-  int8_t& cached = fallback_values_[predicate.slot];
-  if (cached < 0) {
-    ++stats_.program_evaluations;
-    cached =
-        fallback_programs_[static_cast<size_t>(predicate.slot)]->EvalBool(
-            current_event_)
             ? 1
             : 0;
   }

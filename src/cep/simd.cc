@@ -7,12 +7,6 @@
 namespace epl::cep::simd {
 namespace {
 
-void ScalarAndInto(uint64_t* dst, const uint64_t* src, size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    dst[w] &= src[w];
-  }
-}
-
 void ScalarAndNotInto(uint64_t* dst, const uint64_t* src, size_t words) {
   for (size_t w = 0; w < words; ++w) {
     dst[w] &= ~src[w];
@@ -63,7 +57,7 @@ bool ScalarGateColumn(const uint64_t* rows, size_t stride_words, size_t count,
 }
 
 const Kernels kScalarKernels = {
-    Dispatch::kScalar, "scalar",      ScalarAndInto,    ScalarAndNotInto,
+    Dispatch::kScalar, "scalar",      ScalarAndNotInto,
     ScalarFoldInto,    ScalarAndRows, ScalarGateColumn,
 };
 

@@ -1,11 +1,12 @@
 // Runtime-dispatched SIMD kernels for the flat multi-pattern path.
 //
-// The three hot loops of the flat runtime share one word-AND shape:
-// PredicateBank::Evaluate ANDs per-field memo bitsets into one result row,
-// EvaluateBatch materializes B result-word rows from run-length-compressed
-// memo words, and MultiPatternMatcher::ProcessFlatBatch derives the
-// per-(gate group, event) gate grid from those rows. All three call the
-// kernel table below instead of open-coding scalar loops.
+// The hot loops of the flat runtime share one word-AND shape:
+// PredicateBank::EvaluateBatch folds per-field memo bitsets into the single
+// result row of a one-event window, or materializes B result-word rows from
+// run-length-compressed memo words for a longer window, and
+// MultiPatternMatcher::ProcessFlatBatch derives the per-(gate group, event)
+// gate grid from those rows. All of them call the kernel table below
+// instead of open-coding scalar loops.
 //
 // Dispatch model: the kernel set is selected ONCE, at the first Active()
 // call, by checking CPUID for AVX2 support; every later call returns the
@@ -46,29 +47,26 @@ struct Kernels {
   Dispatch dispatch = Dispatch::kScalar;
   const char* name = "scalar";
 
-  /// dst[w] &= src[w] for w in [0, words).
-  void (*and_into)(uint64_t* dst, const uint64_t* src, size_t words);
-
   /// dst[w] &= ~src[w] for w in [0, words) (the NaN clear:
   /// result &= ~constrained).
   void (*andnot_into)(uint64_t* dst, const uint64_t* src, size_t words);
 
   /// Fused fold: dst[w] = AND of and_srcs[i][w], further ANDed with the
   /// complement of every not_srcs[j][w] (all-ones when both lists are
-  /// empty). This is Evaluate's kernel: ONE dispatched call folds every
-  /// constrained field's memo bitset (and the ~constrained clear of every
-  /// NaN field) into the result row, so the destination chunk stays in
-  /// registers across all fields instead of being re-read and re-written
-  /// once per field.
+  /// empty). This is EvaluateBatch's one-event-window kernel: ONE
+  /// dispatched call folds every constrained field's memo bitset (and the
+  /// ~constrained clear of every NaN field) into the result row, so the
+  /// destination chunk stays in registers across all fields instead of
+  /// being re-read and re-written once per field.
   void (*fold_into)(uint64_t* dst, const uint64_t* const* and_srcs,
                     size_t num_and, const uint64_t* const* not_srcs,
                     size_t num_not, size_t words);
 
   /// Row broadcast: rows[r * stride_words + w] &= src[w] for every
-  /// r in [0, num_rows), w in [0, words). This is EvaluateBatch's kernel:
-  /// a run of consecutive in-batch events that stay inside one elementary
-  /// region share one memoized region bitset, so the bitset is broadcast
-  /// once and ANDed across the whole row block.
+  /// r in [0, num_rows), w in [0, words). This is EvaluateBatch's kernel
+  /// for longer windows: a run of consecutive in-batch events that stay
+  /// inside one elementary region share one memoized region bitset, so the
+  /// bitset is broadcast once and ANDed across the whole row block.
   void (*and_rows)(uint64_t* rows, size_t stride_words, size_t num_rows,
                    const uint64_t* src, size_t words);
 

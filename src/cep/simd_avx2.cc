@@ -155,7 +155,7 @@ bool Avx2GateColumn(const uint64_t* rows, size_t stride_words, size_t count,
 }
 
 const Kernels kAvx2Kernels = {
-    Dispatch::kAvx2, "avx2",      Avx2AndInto,    Avx2AndNotInto,
+    Dispatch::kAvx2, "avx2",      Avx2AndNotInto,
     Avx2FoldInto,    Avx2AndRows, Avx2GateColumn,
 };
 

@@ -12,8 +12,10 @@ namespace {
 constexpr char kMagic[] = "EPLSNAP1";  // 8 bytes, versioned
 // Version 2 added QueryState::{level, stream, definition} (composite
 // gestures); version-1 snapshots still decode, with those fields
-// defaulted (v1 runtimes had no composites to restore).
-constexpr uint32_t kVersion = 2;
+// defaulted (v1 runtimes had no composites to restore). Version 3 added
+// SessionState::view (the kinect_t smoothing state); older snapshots
+// decode it as unsmoothed.
+constexpr uint32_t kVersion = 3;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".snap";
 constexpr char kTmpSuffix[] = ".tmp";
@@ -66,6 +68,9 @@ void EncodeSnapshotBody(const Snapshot& snapshot, ByteWriter* out) {
     out->PutI64(session.id);
     out->PutString(session.user);
     out->PutU64(session.ingested_events);
+    out->PutU8(session.view.has_estimates ? 1 : 0);
+    out->PutDouble(session.view.smoothed_yaw);
+    out->PutDouble(session.view.smoothed_forearm);
   }
   out->PutU64(snapshot.queries.size());
   for (const QueryState& query : snapshot.queries) {
@@ -92,6 +97,12 @@ Result<Snapshot> DecodeSnapshotBody(std::string_view body, uint32_t version) {
     session.id = static_cast<int>(id);
     EPL_ASSIGN_OR_RETURN(session.user, in.ReadString());
     EPL_ASSIGN_OR_RETURN(session.ingested_events, in.ReadU64());
+    if (version >= 3) {
+      EPL_ASSIGN_OR_RETURN(uint8_t has_estimates, in.ReadU8());
+      session.view.has_estimates = has_estimates != 0;
+      EPL_ASSIGN_OR_RETURN(session.view.smoothed_yaw, in.ReadDouble());
+      EPL_ASSIGN_OR_RETURN(session.view.smoothed_forearm, in.ReadDouble());
+    }
     snapshot.sessions.push_back(std::move(session));
   }
   EPL_ASSIGN_OR_RETURN(uint64_t num_queries, in.ReadU64());

@@ -36,6 +36,7 @@
 #include "durability/codec.h"
 #include "durability/file.h"
 #include "stream/event.h"
+#include "transform/transform.h"
 
 namespace epl::durability {
 
@@ -83,6 +84,9 @@ struct SessionState {
   /// Frames durably ingested for this session up to the cut -- the index
   /// a crashed producer resumes pushing from.
   uint64_t ingested_events = 0;
+  /// The session's kinect_t view smoothing state at the cut; the default
+  /// (unsmoothed) when the runtime does not transform sessions.
+  transform::TransformState view;
 };
 
 /// One deployed query at the cut, in restoration order.

@@ -45,6 +45,16 @@ struct TransformConfig {
   double estimate_smoothing = 0.15;
 };
 
+/// The running smoothed estimates of the streaming kinect_t view
+/// (TransformOperator). Checkpoints carry it, so a recovered view goes on
+/// transforming bit-identically to the live one. The default is the state
+/// before the first frame: the first frame seeds both estimates.
+struct TransformState {
+  bool has_estimates = false;
+  double smoothed_yaw = 0.0;
+  double smoothed_forearm = 0.0;
+};
+
 /// Estimated yaw (radians) of the user from the shoulder line; 0 when the
 /// user squarely faces the camera.
 double EstimateYaw(const kinect::SkeletonFrame& frame);

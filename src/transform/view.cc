@@ -34,24 +34,24 @@ Status TransformOperator::Process(const stream::Event& event) {
   double yaw = EstimateYaw(frame);
   double forearm = MeasureForearmLength(frame);
   double alpha = config_.estimate_smoothing;
-  if (!has_estimates_ || alpha >= 1.0) {
-    smoothed_yaw_ = yaw;
-    smoothed_forearm_ = forearm;
-    has_estimates_ = true;
+  if (!state_.has_estimates || alpha >= 1.0) {
+    state_.smoothed_yaw = yaw;
+    state_.smoothed_forearm = forearm;
+    state_.has_estimates = true;
   } else {
     // Shortest-path blend for the angle to behave across the +-pi seam.
-    double delta = yaw - smoothed_yaw_;
+    double delta = yaw - state_.smoothed_yaw;
     while (delta > M_PI) {
       delta -= 2.0 * M_PI;
     }
     while (delta < -M_PI) {
       delta += 2.0 * M_PI;
     }
-    smoothed_yaw_ += alpha * delta;
-    smoothed_forearm_ += alpha * (forearm - smoothed_forearm_);
+    state_.smoothed_yaw += alpha * delta;
+    state_.smoothed_forearm += alpha * (forearm - state_.smoothed_forearm);
   }
-  SkeletonFrame transformed =
-      TransformFrameExplicit(frame, config_, smoothed_yaw_, smoothed_forearm_);
+  SkeletonFrame transformed = TransformFrameExplicit(
+      frame, config_, state_.smoothed_yaw, state_.smoothed_forearm);
 
   stream::Event out = FrameToEvent(transformed);
   RollPitchYaw right = ForearmAngles(transformed, /*right_side=*/true);
@@ -67,14 +67,7 @@ Status TransformOperator::Process(const stream::Event& event) {
 
 Status RegisterKinectTView(stream::StreamEngine* engine,
                            TransformConfig config) {
-  return RegisterKinectTView(engine, kKinectTViewName, "kinect", config);
-}
-
-Status RegisterKinectTView(stream::StreamEngine* engine,
-                           const std::string& view_name,
-                           const std::string& source_name,
-                           TransformConfig config) {
-  return engine->RegisterView(view_name, source_name,
+  return engine->RegisterView(kKinectTViewName, "kinect",
                               std::make_unique<TransformOperator>(config),
                               KinectTSchema());
 }

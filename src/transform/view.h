@@ -35,27 +35,23 @@ class TransformOperator : public stream::Operator {
   Status Process(const stream::Event& event) override;
   std::string name() const override { return "kinect_t"; }
 
+  /// The smoothing state, for checkpoints (see TransformState).
+  const TransformState& state() const { return state_; }
+  void set_state(const TransformState& state) { state_ = state; }
+
  private:
   TransformConfig config_;
-  bool has_estimates_ = false;
-  double smoothed_yaw_ = 0.0;
-  double smoothed_forearm_ = 0.0;
+  TransformState state_;
 };
 
 /// Name used for the transformed view.
 inline constexpr char kKinectTViewName[] = "kinect_t";
 
 /// Registers the "kinect_t" view over the "kinect" stream (which must
-/// already be registered).
+/// already be registered). The multi-user runtime registers its
+/// per-session views ("alice/kinect_t" over "alice/kinect") itself, so
+/// it can checkpoint their TransformOperator state.
 Status RegisterKinectTView(stream::StreamEngine* engine,
-                           TransformConfig config = TransformConfig());
-
-/// Registers a kinect_t view under a custom name over a custom source
-/// stream (e.g. "alice/kinect_t" over "alice/kinect" for the multi-user
-/// runtime's per-session views).
-Status RegisterKinectTView(stream::StreamEngine* engine,
-                           const std::string& view_name,
-                           const std::string& source_name,
                            TransformConfig config = TransformConfig());
 
 }  // namespace epl::transform

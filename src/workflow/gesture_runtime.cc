@@ -5,7 +5,6 @@
 #include "kinect/sensor.h"
 #include "query/unparser.h"
 #include "stream/operators.h"
-#include "transform/view.h"
 #include "workflow/control_gestures.h"
 
 namespace epl::workflow {
@@ -189,9 +188,13 @@ Result<SessionId> GestureRuntime::DoOpenSession(const std::string& user,
   if (options_.transform_sessions) {
     session.view_stream = user + "/kinect_t";
     if (!engine_->HasStream(session.view_stream)) {
-      EPL_RETURN_IF_ERROR(transform::RegisterKinectTView(
-          engine_, session.view_stream, session.raw_stream,
-          options_.transform));
+      auto view =
+          std::make_unique<transform::TransformOperator>(options_.transform);
+      transform::TransformOperator* view_op = view.get();
+      EPL_RETURN_IF_ERROR(engine_->RegisterView(
+          session.view_stream, session.raw_stream, std::move(view),
+          transform::KinectTSchema()));
+      views_[session.view_stream] = view_op;
     }
   } else {
     session.view_stream = session.raw_stream;
@@ -277,6 +280,7 @@ Status GestureRuntime::CloseSession(SessionId session) {
         view_removed = false;
       } else {
         EPL_RETURN_IF_ERROR(removed);
+        views_.erase(view);
       }
     }
     if (view_removed && engine_->HasStream(raw)) {
@@ -844,6 +848,9 @@ Status GestureRuntime::Checkpoint() {
     state.id = id;
     state.user = session.name;
     state.ingested_events = ingested_events(id);
+    if (auto view = views_.find(session.view_stream); view != views_.end()) {
+      state.view = view->second->state();
+    }
     snapshot.sessions.push_back(std::move(state));
   }
 
@@ -1053,7 +1060,12 @@ Result<std::unique_ptr<GestureRuntime>> GestureRuntime::Recover(
     }
     EPL_ASSIGN_OR_RETURN(SessionId id,
                          runtime->DoOpenSession(session.user, session.id));
-    (void)id;
+    // The view resumes from its smoothing state at the cut, so the WAL
+    // suffix replays through it into bit-identical events.
+    auto view = runtime->views_.find(runtime->sessions_.at(id).view_stream);
+    if (view != runtime->views_.end()) {
+      view->second->set_state(session.view);
+    }
   }
   for (const durability::QueryState& query : snapshot.queries) {
     EPL_RETURN_IF_ERROR(

@@ -72,6 +72,7 @@
 #include "query/compiler.h"
 #include "stream/engine.h"
 #include "transform/transform.h"
+#include "transform/view.h"
 #include "workflow/composite.h"
 
 namespace epl::workflow {
@@ -332,13 +333,15 @@ class GestureRuntime {
 
   /// Writes a run-state snapshot at a quiesced event boundary and prunes
   /// the WAL prefix it covers: Flush, export every deployed query's live
-  /// NFA runs, rotate the WAL segment, atomically write
+  /// NFA runs and every session view's smoothing state, rotate the WAL
+  /// segment, atomically write
   /// snapshot-<seq>.snap, then drop stale snapshots and covered segments.
   /// Durable runtimes only; must not be called from a detection callback.
   Status Checkpoint();
 
-  /// Rebuilds a runtime from `options.durability.dir`: restores sessions,
-  /// deployed gestures, and mid-gesture partial runs from the newest valid
+  /// Rebuilds a runtime from `options.durability.dir`: restores sessions
+  /// (with their views' smoothing state), deployed gestures, and
+  /// mid-gesture partial runs from the newest valid
   /// snapshot, then replays the WAL suffix (seq >= snapshot seq) through
   /// the normal ingest path. Detections for replayed events are
   /// re-delivered (at-least-once past the snapshot cut); the recovered
@@ -381,7 +384,7 @@ class GestureRuntime {
     /// Composite level; 0 = base gesture. Level >= 1 gestures keep their
     /// definition for consumed-input checks and checkpointing.
     int level = 0;
-    CompositeDefinition composite;
+    CompositeDefinition composite{};
   };
 
   using GestureKey = std::pair<SessionId, std::string>;
@@ -443,6 +446,10 @@ class GestureRuntime {
 
   std::map<std::string, Channel> channels_;
   std::map<SessionId, Session> sessions_;
+  /// The kinect_t transforms of the per-session views this runtime
+  /// registered (owned by the engine), keyed by view stream: checkpoints
+  /// carry their smoothing state.
+  std::map<std::string, transform::TransformOperator*> views_;
   std::map<GestureKey, Gesture> gestures_;
   SessionId next_session_id_ = 0;
 

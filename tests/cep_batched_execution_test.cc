@@ -1,7 +1,7 @@
 // Batch-boundary behavior of the batched flat runtime, end to end:
-// matcher-level chunking equivalence (including chunk size 1, which must
-// take the same ProcessFlatBatch path and agree with per-event
-// ProcessFlat), partial runs spanning batch edges, MultiMatchOperator
+// matcher-level chunking equivalence against per-pattern NfaMatcher
+// oracles (including chunk size 1, the one-event windows the per-event
+// runtime default runs), partial runs spanning batch edges, MultiMatchOperator
 // window accumulation (control operations flush first; callback-driven
 // add/remove keeps per-event semantics mid-batch via pattern catch-up),
 // and ShardedEngine workers executing whole fan-out batches as one
@@ -88,16 +88,26 @@ std::vector<std::vector<PatternMatch>> ChunkedMatches(
   while (pos < events.size()) {
     const size_t chunk = std::min(chunk_size, events.size() - pos);
     scratch.clear();
-    if (chunk_size == 0) {  // sentinel: per-event Process reference
-      multi.Process(events[pos], &scratch);
-      pos += 1;
-    } else {
-      multi.ProcessBatch(events.data() + pos, chunk, &scratch);
-      pos += chunk;
-    }
+    multi.ProcessBatch(events.data() + pos, chunk, &scratch);
+    pos += chunk;
     for (MultiPatternMatcher::MultiMatch& match : scratch) {
       matches[static_cast<size_t>(match.pattern_index)].push_back(
           std::move(match.match));
+    }
+  }
+  return matches;
+}
+
+/// Per-pattern match streams of standalone NfaMatchers fed event by event
+/// (the reference semantics).
+std::vector<std::vector<PatternMatch>> OracleMatches(
+    const std::vector<query::CompiledQuery>& queries,
+    const std::vector<Event>& events, MatcherOptions options) {
+  std::vector<std::vector<PatternMatch>> matches(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    NfaMatcher matcher(&queries[q].pattern, options);
+    for (const Event& event : events) {
+      matcher.Process(event, &matches[q]);
     }
   }
   return matches;
@@ -112,14 +122,14 @@ TEST(BatchedExecutionTest, ChunkingIsEquivalentToPerEventProcessing) {
     MatcherOptions options;
     options.mode = mode;
     std::vector<std::vector<PatternMatch>> reference =
-        ChunkedMatches(queries, events, 0, options);
+        OracleMatches(queries, events, options);
     size_t total = 0;
     for (const std::vector<PatternMatch>& matches : reference) {
       total += matches.size();
     }
     ASSERT_GT(total, 0u);
-    // Chunk 1 exercises ProcessFlatBatch's B=1 degenerate case; the rest
-    // place batch edges at varying offsets relative to the matches.
+    // Chunk 1 exercises the one-event window; the rest place batch edges
+    // at varying offsets relative to the matches.
     for (size_t chunk : {size_t{1}, size_t{3}, size_t{7}, size_t{16},
                          size_t{64}, events.size()}) {
       std::vector<std::vector<PatternMatch>> batched =

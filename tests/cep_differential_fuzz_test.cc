@@ -6,7 +6,7 @@
 // every pattern's match sequence:
 //
 //   1. per-query NfaMatcher::Process      (the behavioral oracle)
-//   2. MultiPatternMatcher::Process       (flat, one event at a time)
+//   2. MultiPatternMatcher::ProcessBatch  (flat, one-event windows)
 //   3. MultiPatternMatcher::ProcessBatch  (flat, random batch chunking)
 //
 // Every scenario derives from a logged seed: on failure the error message
@@ -337,7 +337,8 @@ size_t RunScenario(uint64_t scenario_seed, MatcherOptions::Mode mode) {
     }
   }
 
-  // 2. Flat, one event at a time.
+  // 2. Flat, every event its own one-event window (the runtime's
+  // batch_size = 1 path: fold-kernel evaluation, gates read from row 0).
   MatchLists flat(static_cast<size_t>(total_patterns));
   {
     MultiPatternMatcher multi(options);
@@ -347,8 +348,9 @@ size_t RunScenario(uint64_t scenario_seed, MatcherOptions::Mode mode) {
     std::vector<MultiPatternMatcher::MultiMatch> scratch;
     for (const Event& event : events) {
       scratch.clear();
-      multi.Process(event, &scratch);
+      multi.ProcessBatch(&event, 1, &scratch);
       for (MultiPatternMatcher::MultiMatch& match : scratch) {
+        EPL_CHECK(match.batch_index == 0) << "one-event window tag";
         flat[static_cast<size_t>(match.pattern_index)].push_back(
             std::move(match.match));
       }
@@ -385,7 +387,7 @@ size_t RunScenario(uint64_t scenario_seed, MatcherOptions::Mode mode) {
 
   std::string diff;
   EXPECT_TRUE(SameMatches(oracle, flat, &diff))
-      << "flat-unbatched diverged from the NfaMatcher oracle (" << diff
+      << "flat B=1 windows diverged from the NfaMatcher oracle (" << diff
       << "); reproduce with EPL_FUZZ_SEED=" << scenario_seed
       << " EPL_FUZZ_SCENARIOS=1";
   EXPECT_TRUE(SameMatches(oracle, batched, &diff))

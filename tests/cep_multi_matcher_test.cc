@@ -106,7 +106,7 @@ TEST_P(MultiMatcherEquivalence, MatchesIndependentMatchers) {
   std::vector<MultiPatternMatcher::MultiMatch> scratch;
   for (const Event& event : Workload(static_cast<uint64_t>(seed))) {
     scratch.clear();
-    multi.Process(event, &scratch);
+    multi.ProcessBatch(&event, 1, &scratch);
     for (MultiPatternMatcher::MultiMatch& match : scratch) {
       multi_matches[match.pattern_index].push_back(std::move(match.match));
     }
@@ -157,7 +157,7 @@ TEST(MultiMatcherStatsTest, MirrorsStandaloneMatcherStats) {
   std::vector<MultiPatternMatcher::MultiMatch> scratch;
   std::vector<PatternMatch> sink;
   for (const Event& event : Workload(21)) {
-    multi.Process(event, &scratch);
+    multi.ProcessBatch(&event, 1, &scratch);
     for (auto& matcher : independent) {
       matcher->Process(event, &sink);
     }
@@ -254,8 +254,8 @@ TEST(MultiMatchOperatorTest, RejectsMixedSourceStreams) {
 // Gate groups (the multi-session runtime's sub-linear session skip): a
 // matcher fed UNCONJOINED patterns plus their session gates must produce
 // exactly the matches of the explicitly conjoined patterns run ungated,
-// in both the per-event and the batched flat path, with gated and ungated
-// patterns mixed in one matcher.
+// in one-event and longer windows, with gated and ungated patterns mixed
+// in one matcher.
 TEST(MultiPatternMatcherTest, GateGroupsAreOutputExact) {
   // A merged multi-session stream: kinect fields plus a session id that
   // cycles per event, so every gate flips open/shut throughout the run.
@@ -316,8 +316,8 @@ TEST(MultiPatternMatcherTest, GateGroupsAreOutputExact) {
     for (const Event& event : events) {
       expected.clear();
       actual.clear();
-      plain.Process(event, &expected);
-      gated.Process(event, &actual);
+      plain.ProcessBatch(&event, 1, &expected);
+      gated.ProcessBatch(&event, 1, &actual);
       ASSERT_EQ(actual.size(), expected.size());
       for (size_t m = 0; m < expected.size(); ++m) {
         EXPECT_EQ(actual[m].pattern_index, expected[m].pattern_index);
@@ -354,6 +354,90 @@ TEST(MultiPatternMatcherTest, GateGroupsAreOutputExact) {
     }
   }
   // The workload must actually fire through the cycling session ids.
+  EXPECT_GT(total, 0u);
+}
+
+// The sweep finds open gate groups through the gate bits of the bank's
+// result rows. With hundreds of session gates those bits span several row
+// words, and fallback (non-decomposable) gates take the per-group path:
+// both must stay output-exact against the conjoined patterns run ungated.
+TEST(MultiPatternMatcherTest, GateLookupSpansRowWords) {
+  const stream::Schema schema(std::vector<std::string>{"x", "session"});
+  constexpr int kSessions = 200;
+  std::vector<CompiledPattern> gates, bare, conjoined;
+  for (int s = 0; s < kSessions; ++s) {
+    // Every fifth gate is a disjunction (with a session that never
+    // occurs), so the bank cannot decompose it.
+    auto gate_expr = [s]() -> ExprPtr {
+      ExprPtr own = Expr::RangePredicate("session", s, 0.5);
+      if (s % 5 != 0) {
+        return own;
+      }
+      return Expr::Binary(BinaryOp::kOr, std::move(own),
+                          Expr::RangePredicate("session", -9, 0.5));
+    };
+    auto pose = [s](ExprPtr extra) {
+      std::vector<ExprPtr> terms;
+      terms.push_back(Expr::RangePredicate("x", (s % 9) * 10.0, 30.0));
+      if (extra != nullptr) {
+        terms.push_back(std::move(extra));
+      }
+      std::vector<PatternExprPtr> children;
+      children.push_back(PatternExpr::Pose("s", Expr::And(std::move(terms))));
+      children.push_back(
+          PatternExpr::Pose("s", Expr::RangePredicate("x", 40.0, 30.0)));
+      return PatternExpr::Sequence(std::move(children), kSecond);
+    };
+    EPL_ASSERT_OK_AND_ASSIGN(
+        CompiledPattern gate,
+        CompiledPattern::Compile(*PatternExpr::Pose("s", gate_expr()),
+                                 schema));
+    gates.push_back(std::move(gate));
+    EPL_ASSERT_OK_AND_ASSIGN(CompiledPattern plain,
+                             CompiledPattern::Compile(*pose(nullptr), schema));
+    bare.push_back(std::move(plain));
+    // The oracle conjoins the gate into every pose.
+    EPL_ASSERT_OK_AND_ASSIGN(
+        CompiledPattern scoped,
+        CompiledPattern::Compile(*pose(nullptr)->Rescope("", gate_expr().get()),
+                                 schema));
+    conjoined.push_back(std::move(scoped));
+  }
+  // Sessions take turns in bursts, x wanders over every pose window.
+  std::vector<Event> events;
+  for (int i = 0; i < 6000; ++i) {
+    const double x = (i * 7) % 100;
+    const double session = (i / 3) % kSessions;
+    events.push_back(Event(i * 1000, {x, session}));
+  }
+
+  size_t total = 0;
+  for (size_t window : {size_t{1}, size_t{7}}) {
+    MultiPatternMatcher plain{MatcherOptions()};
+    MultiPatternMatcher gated{MatcherOptions()};
+    for (int s = 0; s < kSessions; ++s) {
+      plain.AddPattern(&conjoined[static_cast<size_t>(s)]);
+      gated.AddPattern(&bare[static_cast<size_t>(s)],
+                       &gates[static_cast<size_t>(s)]);
+    }
+    std::vector<MultiPatternMatcher::MultiMatch> expected, actual;
+    for (size_t pos = 0; pos < events.size(); pos += window) {
+      const size_t n = std::min(window, events.size() - pos);
+      expected.clear();
+      actual.clear();
+      plain.ProcessBatch(events.data() + pos, n, &expected);
+      gated.ProcessBatch(events.data() + pos, n, &actual);
+      ASSERT_EQ(actual.size(), expected.size()) << "window " << window;
+      for (size_t m = 0; m < expected.size(); ++m) {
+        EXPECT_EQ(actual[m].pattern_index, expected[m].pattern_index);
+        EXPECT_EQ(actual[m].batch_index, expected[m].batch_index);
+        EXPECT_EQ(actual[m].match.state_times, expected[m].match.state_times);
+      }
+      total += expected.size();
+    }
+    // The gate bits really span several result-row words.
+    EXPECT_GT(gated.bank().num_decomposable(), 128);
+  }
   EXPECT_GT(total, 0u);
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +47,24 @@ CompiledPattern CompilePose(ExprPtr predicate) {
 Event At(double x, double y = 0.0, double z = 0.0) {
   return Event(0, {x, y, z});
 }
+
+// Evaluates one event as a one-event EvaluateBatch window (the runtime's
+// per-event path) and reads row 0 back. Holds the event for as long as the
+// bank may interpret fallback predicates against it.
+class OneEvent {
+ public:
+  explicit OneEvent(PredicateBank* bank) : bank_(bank) {}
+
+  void Evaluate(Event event) {
+    event_ = std::move(event);
+    bank_->EvaluateBatch(&event_, 1);
+  }
+  bool value(int id) const { return bank_->batch_value(0, id); }
+
+ private:
+  PredicateBank* bank_;
+  Event event_;
+};
 
 TEST(DecomposeTest, RangePredicateBecomesOneInterval) {
   ExprPtr expr = Bound(Expr::RangePredicate("x", 100, 50));
@@ -157,19 +176,20 @@ TEST(PredicateBankTest, BoundaryStrictnessIsExact) {
     ids.push_back(bank.RegisterPattern(pattern)[0]);
   }
   bank.Build();
+  OneEvent one(&bank);
   EXPECT_EQ(bank.num_fallback(), 0);
 
-  bank.Evaluate(At(5.0));  // exactly on the shared endpoint
-  EXPECT_FALSE(bank.value(ids[0]));  // x < 5
-  EXPECT_TRUE(bank.value(ids[1]));   // x <= 5
-  EXPECT_FALSE(bank.value(ids[2]));  // x > 5
-  EXPECT_TRUE(bank.value(ids[3]));   // x >= 5
+  one.Evaluate(At(5.0));  // exactly on the shared endpoint
+  EXPECT_FALSE(one.value(ids[0]));  // x < 5
+  EXPECT_TRUE(one.value(ids[1]));   // x <= 5
+  EXPECT_FALSE(one.value(ids[2]));  // x > 5
+  EXPECT_TRUE(one.value(ids[3]));   // x >= 5
 
-  bank.Evaluate(At(4.999));
-  EXPECT_TRUE(bank.value(ids[0]));
-  EXPECT_TRUE(bank.value(ids[1]));
-  EXPECT_FALSE(bank.value(ids[2]));
-  EXPECT_FALSE(bank.value(ids[3]));
+  one.Evaluate(At(4.999));
+  EXPECT_TRUE(one.value(ids[0]));
+  EXPECT_TRUE(one.value(ids[1]));
+  EXPECT_FALSE(one.value(ids[2]));
+  EXPECT_FALSE(one.value(ids[3]));
 }
 
 TEST(PredicateBankTest, DeduplicatesAcrossPatterns) {
@@ -208,17 +228,27 @@ TEST(PredicateBankTest, FallbackPredicatesUseTheirProgram) {
   int fancy_id = bank.RegisterPattern(fancy)[0];
   int plain_id = bank.RegisterPattern(plain)[0];
   bank.Build();
+  OneEvent one(&bank);
   EXPECT_EQ(bank.num_decomposable(), 1);
   EXPECT_EQ(bank.num_fallback(), 1);
 
-  bank.Evaluate(At(-105.0, 0.5));
-  EXPECT_TRUE(bank.value(fancy_id));
-  EXPECT_TRUE(bank.value(plain_id));
-  bank.Evaluate(At(0.0, 5.0));
-  EXPECT_FALSE(bank.value(fancy_id));
-  EXPECT_FALSE(bank.value(plain_id));
+  one.Evaluate(At(-105.0, 0.5));
+  EXPECT_TRUE(one.value(fancy_id));
+  EXPECT_TRUE(one.value(plain_id));
+  one.Evaluate(At(0.0, 5.0));
+  EXPECT_FALSE(one.value(fancy_id));
+  EXPECT_FALSE(one.value(plain_id));
   EXPECT_EQ(bank.stats().events, 2u);
   EXPECT_EQ(bank.stats().program_evaluations, 2u);  // fallback only
+
+  // Lazy: an event whose fallback predicate nobody reads is never
+  // interpreted, and repeated reads of one event interpret it once.
+  one.Evaluate(At(100.0, 0.0));
+  EXPECT_TRUE(one.value(plain_id));
+  EXPECT_EQ(bank.stats().program_evaluations, 2u);
+  EXPECT_TRUE(one.value(fancy_id));
+  EXPECT_TRUE(one.value(fancy_id));
+  EXPECT_EQ(bank.stats().program_evaluations, 3u);
 }
 
 TEST(PredicateBankTest, EmptyIntersectionNeverMatches) {
@@ -229,10 +259,11 @@ TEST(PredicateBankTest, EmptyIntersectionNeverMatches) {
   PredicateBank bank;
   int id = bank.RegisterPattern(empty)[0];
   bank.Build();
+  OneEvent one(&bank);
   EXPECT_EQ(bank.num_fallback(), 0);
   for (double v : {0.0, 1.0, 1.5, 2.0, 3.0}) {
-    bank.Evaluate(At(v));
-    EXPECT_FALSE(bank.value(id)) << v;
+    one.Evaluate(At(v));
+    EXPECT_FALSE(one.value(id)) << v;
   }
 }
 
@@ -243,9 +274,10 @@ TEST(PredicateBankTest, NanMatchesNothingConstrained) {
   int x_id = bank.RegisterPattern(on_x)[0];
   int y_id = bank.RegisterPattern(on_y)[0];
   bank.Build();
-  bank.Evaluate(At(std::numeric_limits<double>::quiet_NaN(), 0.0));
-  EXPECT_FALSE(bank.value(x_id));
-  EXPECT_TRUE(bank.value(y_id));
+  OneEvent one(&bank);
+  one.Evaluate(At(std::numeric_limits<double>::quiet_NaN(), 0.0));
+  EXPECT_FALSE(one.value(x_id));
+  EXPECT_TRUE(one.value(y_id));
 }
 
 TEST(PredicateBankTest, CrossEventRegionMemoSkipsSearches) {
@@ -255,13 +287,14 @@ TEST(PredicateBankTest, CrossEventRegionMemoSkipsSearches) {
   int low_id = bank.RegisterPattern(low)[0];
   int high_id = bank.RegisterPattern(high)[0];
   bank.Build();
+  OneEvent one(&bank);
 
   // A 30 Hz-style dribble inside one elementary region: one search, then
   // memo hits, all with the right truth.
   for (double v : {-40.0, -41.5, -39.2, -44.0}) {
-    bank.Evaluate(At(v));
-    EXPECT_TRUE(bank.value(low_id)) << v;
-    EXPECT_FALSE(bank.value(high_id)) << v;
+    one.Evaluate(At(v));
+    EXPECT_TRUE(one.value(low_id)) << v;
+    EXPECT_FALSE(one.value(high_id)) << v;
   }
   EXPECT_EQ(bank.stats().region_searches, 1u);
   EXPECT_EQ(bank.stats().region_memo_hits, 3u);
@@ -269,11 +302,11 @@ TEST(PredicateBankTest, CrossEventRegionMemoSkipsSearches) {
   // Leaving the region invalidates the memo (fresh search), and exact
   // endpoint stabs land in singleton regions the open-region memo must
   // not swallow.
-  bank.Evaluate(At(60.0));
-  EXPECT_FALSE(bank.value(low_id));
-  EXPECT_TRUE(bank.value(high_id));
+  one.Evaluate(At(60.0));
+  EXPECT_FALSE(one.value(low_id));
+  EXPECT_TRUE(one.value(high_id));
   EXPECT_EQ(bank.stats().region_searches, 2u);
-  bank.Evaluate(At(60.0));
+  one.Evaluate(At(60.0));
   EXPECT_EQ(bank.stats().region_memo_hits, 4u);
 }
 
@@ -298,9 +331,6 @@ TEST(PredicateBankTest, BatchCountersSplitBroadcastVsRecomputedRows) {
     EXPECT_FALSE(bank.batch_value(b, low_id)) << b;
     EXPECT_TRUE(bank.batch_value(b, high_id)) << b;
   }
-  EXPECT_EQ(bank.stats().batch_recomputed_rows, 2u);
-  EXPECT_EQ(bank.stats().batch_broadcast_rows, 4u);
-  // The batch split refines the same totals the per-event memo reports.
   EXPECT_EQ(bank.stats().region_searches, 2u);
   EXPECT_EQ(bank.stats().region_memo_hits, 4u);
 
@@ -308,8 +338,8 @@ TEST(PredicateBankTest, BatchCountersSplitBroadcastVsRecomputedRows) {
   // same region serves every row from the broadcast word.
   std::vector<Event> next = {At(59.0), At(60.5)};
   bank.EvaluateBatch(next.data(), next.size());
-  EXPECT_EQ(bank.stats().batch_recomputed_rows, 2u);
-  EXPECT_EQ(bank.stats().batch_broadcast_rows, 6u);
+  EXPECT_EQ(bank.stats().region_searches, 2u);
+  EXPECT_EQ(bank.stats().region_memo_hits, 6u);
 }
 
 TEST(PredicateBankTest, BatchNanRowsCountInNeitherBatchCounter) {
@@ -326,8 +356,8 @@ TEST(PredicateBankTest, BatchNanRowsCountInNeitherBatchCounter) {
   EXPECT_TRUE(bank.batch_value(0, low_id));
   EXPECT_FALSE(bank.batch_value(1, low_id));
   EXPECT_TRUE(bank.batch_value(2, low_id));
-  EXPECT_EQ(bank.stats().batch_recomputed_rows, 1u);
-  EXPECT_EQ(bank.stats().batch_broadcast_rows, 1u);
+  EXPECT_EQ(bank.stats().region_searches, 1u);
+  EXPECT_EQ(bank.stats().region_memo_hits, 1u);
 }
 
 // Property: a field with hundreds of regions (many checkpoint strides)
@@ -350,6 +380,7 @@ TEST(PredicateBankTest, DeltaEncodingAgreesAcrossManyRegions) {
     ids.push_back(bank.RegisterPattern(pattern)[0]);
   }
   bank.Build();
+  OneEvent one(&bank);
   ASSERT_EQ(bank.num_fallback(), 0);
 
   std::vector<double> probes;
@@ -363,9 +394,9 @@ TEST(PredicateBankTest, DeltaEncodingAgreesAcrossManyRegions) {
                          : rng.Uniform(-130, 130));
   }
   for (double v : probes) {
-    bank.Evaluate(At(v));
+    one.Evaluate(At(v));
     for (size_t p = 0; p < patterns.size(); ++p) {
-      ASSERT_EQ(bank.value(ids[p]),
+      ASSERT_EQ(one.value(ids[p]),
                 patterns[p].predicate(0).EvalBool(At(v)))
           << patterns[p].predicate_expr(0).ToString() << " at " << v;
     }
@@ -405,8 +436,10 @@ TEST_P(PredicateBankProperty, AgreesWithProgramEvaluation) {
     ids.push_back(bank.RegisterPattern(pattern)[0]);
   }
   bank.Build();
+  OneEvent one(&bank);
   EXPECT_EQ(bank.num_fallback(), 0);
 
+  std::vector<Event> events;
   for (int e = 0; e < 300; ++e) {
     std::vector<double> values(3);
     for (double& v : values) {
@@ -419,13 +452,25 @@ TEST_P(PredicateBankProperty, AgreesWithProgramEvaluation) {
       }
     }
     Event event(0, values);
-    bank.Evaluate(event);
+    one.Evaluate(event);
     for (size_t p = 0; p < patterns.size(); ++p) {
-      EXPECT_EQ(bank.value(ids[p]),
+      EXPECT_EQ(one.value(ids[p]),
                 patterns[p].predicate(0).EvalBool(event))
           << "pattern " << p << ": "
           << patterns[p].predicate_expr(0).ToString() << " at event "
           << event.ToString();
+    }
+    events.push_back(std::move(event));
+  }
+
+  // The same events as one long window (the run-length row path) answer
+  // exactly as the one-event windows (the fold path) did.
+  bank.EvaluateBatch(events.data(), events.size());
+  for (size_t b = 0; b < events.size(); ++b) {
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      ASSERT_EQ(bank.batch_value(b, ids[p]),
+                patterns[p].predicate(0).EvalBool(events[b]))
+          << "pattern " << p << " at in-window event " << b;
     }
   }
 }

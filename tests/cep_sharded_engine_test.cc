@@ -482,10 +482,9 @@ TEST(ShardedEngineTest, MeasuredHotQueriesOutweighStaticallyHeavyColdOnes) {
     }
     EXPECT_EQ(snapshot.stats.events, 30u) << "query " << snapshot.query_id;
     // The snapshot also carries the shard bank's evaluation counters:
-    // 30 events through batch_size=8 windows must have split every
-    // (field, event) row into broadcast-vs-recomputed.
-    EXPECT_GT(snapshot.bank.batch_broadcast_rows +
-                  snapshot.bank.batch_recomputed_rows,
+    // 30 events through batch_size=8 windows must have resolved every
+    // (field, event) row as a region-memo hit or a region search.
+    EXPECT_GT(snapshot.bank.region_memo_hits + snapshot.bank.region_searches,
               0u)
         << "query " << snapshot.query_id;
   }

@@ -42,25 +42,6 @@ class SimdKernelTest : public ::testing::Test {
   }
 };
 
-TEST_F(SimdKernelTest, AndIntoMatchesScalarAtEveryWidth) {
-  Rng rng(0x51D0001);
-  for (size_t words : kWordCounts) {
-    // offset 1 forces a 32-byte-misaligned start: the kernels must not
-    // rely on the aligned storage the bank happens to provide.
-    for (size_t offset : {size_t{0}, size_t{1}}) {
-      const std::vector<uint64_t> src = RandomWords(&rng, words + offset);
-      const std::vector<uint64_t> original = RandomWords(&rng, words + offset);
-      std::vector<uint64_t> scalar = original;
-      std::vector<uint64_t> avx2 = original;
-      ScalarKernels().and_into(scalar.data() + offset, src.data() + offset,
-                               words);
-      Avx2Kernels().and_into(avx2.data() + offset, src.data() + offset,
-                             words);
-      EXPECT_EQ(scalar, avx2) << "words=" << words << " offset=" << offset;
-    }
-  }
-}
-
 TEST_F(SimdKernelTest, AndNotIntoMatchesScalarAtEveryWidth) {
   Rng rng(0x51D0002);
   for (size_t words : kWordCounts) {
@@ -84,18 +65,25 @@ TEST_F(SimdKernelTest, AndRowsMatchesScalarAcrossShapes) {
     for (size_t rows : kRowCounts) {
       // stride == words exercises the contiguous broadcast fast path;
       // stride > words exercises the strided general path with gap words
-      // that must stay untouched.
+      // that must stay untouched. The one-row case is a plain dst &= src
+      // over `words` words (the strided path's per-row AND loop).
       for (size_t stride : {words, words + 3}) {
-        const std::vector<uint64_t> src = RandomWords(&rng, words);
-        const std::vector<uint64_t> original =
-            RandomWords(&rng, rows * stride);
-        std::vector<uint64_t> scalar = original;
-        std::vector<uint64_t> avx2 = original;
-        ScalarKernels().and_rows(scalar.data(), stride, rows, src.data(),
-                                 words);
-        Avx2Kernels().and_rows(avx2.data(), stride, rows, src.data(), words);
-        EXPECT_EQ(scalar, avx2)
-            << "words=" << words << " rows=" << rows << " stride=" << stride;
+        // offset 1 forces a 32-byte-misaligned start: the kernels must not
+        // rely on the aligned storage the bank happens to provide.
+        for (size_t offset : {size_t{0}, size_t{1}}) {
+          const std::vector<uint64_t> src = RandomWords(&rng, words + offset);
+          const std::vector<uint64_t> original =
+              RandomWords(&rng, rows * stride + offset);
+          std::vector<uint64_t> scalar = original;
+          std::vector<uint64_t> avx2 = original;
+          ScalarKernels().and_rows(scalar.data() + offset, stride, rows,
+                                   src.data() + offset, words);
+          Avx2Kernels().and_rows(avx2.data() + offset, stride, rows,
+                                 src.data() + offset, words);
+          EXPECT_EQ(scalar, avx2)
+              << "words=" << words << " rows=" << rows << " stride=" << stride
+              << " offset=" << offset;
+        }
       }
     }
   }

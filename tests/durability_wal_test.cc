@@ -482,6 +482,9 @@ Snapshot SampleSnapshot(uint64_t wal_seq) {
   alice.id = 0;
   alice.user = "alice";
   alice.ingested_events = 900;
+  alice.view.has_estimates = true;
+  alice.view.smoothed_yaw = -0.1234567890123;
+  alice.view.smoothed_forearm = 271.828182845904;
   snapshot.sessions.push_back(alice);
   QueryState query;
   query.session = 0;
@@ -500,6 +503,12 @@ void ExpectSnapshotEq(const Snapshot& a, const Snapshot& b) {
     EXPECT_EQ(a.sessions[i].id, b.sessions[i].id);
     EXPECT_EQ(a.sessions[i].user, b.sessions[i].user);
     EXPECT_EQ(a.sessions[i].ingested_events, b.sessions[i].ingested_events);
+    EXPECT_EQ(a.sessions[i].view.has_estimates,
+              b.sessions[i].view.has_estimates);
+    // Bit-exact: recovery replays the view from these very doubles.
+    EXPECT_EQ(a.sessions[i].view.smoothed_yaw, b.sessions[i].view.smoothed_yaw);
+    EXPECT_EQ(a.sessions[i].view.smoothed_forearm,
+              b.sessions[i].view.smoothed_forearm);
   }
   ASSERT_EQ(a.queries.size(), b.queries.size());
   for (size_t i = 0; i < a.queries.size(); ++i) {
@@ -518,6 +527,37 @@ TEST(SnapshotTest, WriteReadRoundTrip) {
                            ReadLatestSnapshot(DefaultFileSystem(),
                                               dir.path()));
   ExpectSnapshotEq(loaded, snapshot);
+}
+
+TEST(SnapshotTest, VersionTwoDecodesWithUnsmoothedViews) {
+  // A version-2 file, laid out by hand: v2 sessions carry no view state.
+  ByteWriter body;
+  body.PutU64(7);   // wal_seq
+  body.PutI64(1);   // next_session_id
+  body.PutU64(1);   // one session
+  body.PutI64(0);
+  body.PutString("alice");
+  body.PutU64(33);  // ingested_events
+  body.PutU64(0);   // no queries
+  ByteWriter header;
+  header.PutU32(2);
+  header.PutU32(static_cast<uint32_t>(body.str().size()));
+  header.PutU32(Crc32c(body.str()));
+  ScopedTempDir dir;
+  {
+    std::ofstream out(dir.path() + "/snapshot-00000000000000000007.snap",
+                      std::ios::binary);
+    out << "EPLSNAP1" << header.str() << body.str();
+  }
+  EPL_ASSERT_OK_AND_ASSIGN(Snapshot loaded,
+                           ReadLatestSnapshot(DefaultFileSystem(),
+                                              dir.path()));
+  ASSERT_EQ(loaded.sessions.size(), 1u);
+  EXPECT_EQ(loaded.sessions[0].user, "alice");
+  EXPECT_EQ(loaded.sessions[0].ingested_events, 33u);
+  EXPECT_FALSE(loaded.sessions[0].view.has_estimates);
+  EXPECT_EQ(loaded.sessions[0].view.smoothed_yaw, 0.0);
+  EXPECT_EQ(loaded.sessions[0].view.smoothed_forearm, 0.0);
 }
 
 TEST(SnapshotTest, EmptyDirIsNotFound) {

@@ -1,11 +1,13 @@
 // GestureRuntime durability semantics that the fork/kill harness
 // (durability_crash_test.cc) does not pin down structurally: multi-session
-// checkpoint/recover state restoration, WAL replay of session open/close
-// and deploy/undeploy mutations, recovery from an empty directory, the
-// legacy-backend guard -- plus the session GC regression: a close ->
-// reopen cycle leaves no trace in the engine.
+// checkpoint/recover state restoration, bit-identical recovery of a
+// gesture in flight across the cut through a smoothing kinect_t view, WAL
+// replay of session open/close and deploy/undeploy mutations, recovery
+// from an empty directory, the legacy-backend guard -- plus the session GC
+// regression: a close -> reopen cycle leaves no trace in the engine.
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -173,6 +175,78 @@ TEST(WorkflowDurabilityTest, RecoverRestoresSessionsQueriesAndCounters) {
   EPL_ASSERT_OK_AND_ASSIGN(SessionId carol, runtime->OpenSession("carol"));
   EXPECT_NE(carol, alice);
   EXPECT_NE(carol, bob);
+}
+
+// A user who swipes facing the camera, then turns and swipes again. The
+// kinect_t view's smoothed yaw estimate (estimate_smoothing) lags the turn
+// for dozens of frames, so at a cut right after the turn the view's
+// smoothing state is far from that of a view starting afresh.
+std::vector<SkeletonFrame> TurningFrames() {
+  kinect::SessionBuilder facing(UserProfile(), 11);
+  facing.Perform(kinect::GestureShapes::SwipeRight(), 0.2).Idle(0.4);
+  std::vector<SkeletonFrame> frames = facing.TakeFrames();
+  UserProfile turned_profile;
+  turned_profile.yaw_rad = 0.35;
+  kinect::SessionBuilder turned(turned_profile, 12);
+  turned.Perform(kinect::GestureShapes::SwipeRight(), 0.2).Idle(0.4);
+  turned.Perform(kinect::GestureShapes::RaiseHand(), 0.1).Idle(0.4);
+  const TimePoint period = frames[1].timestamp - frames[0].timestamp;
+  const TimePoint offset = frames.back().timestamp + period;
+  for (SkeletonFrame frame : turned.TakeFrames()) {
+    frame.timestamp += offset;
+    frames.push_back(frame);
+  }
+  return frames;
+}
+
+TEST(WorkflowDurabilityTest, RecoveryIsBitIdenticalWithAGestureInFlight) {
+  epl::testing::ScopedTempDir dir;
+  const GestureRuntimeOptions options = DurableOptions(dir.path());
+  ASSERT_TRUE(options.transform_sessions);
+  ASSERT_LT(options.transform.estimate_smoothing, 1.0);  // smoothing on
+  const std::vector<core::GestureDefinition> defs = TrainedDefinitions(2);
+  const std::vector<SkeletonFrame> frames = TurningFrames();
+  // Mid-way through the second swipe, ~0.35 s into it (checked below).
+  const size_t cut = 121;
+
+  // The live run; the checkpoint flushes, so every detection of a frame
+  // before the cut is delivered before it.
+  std::vector<DetectionRecord> live;
+  size_t at_cut = 0;
+  {
+    stream::StreamEngine engine;
+    GestureRuntime runtime(&engine, options);
+    EPL_ASSERT_OK_AND_ASSIGN(SessionId alice, runtime.OpenSession("alice"));
+    for (const core::GestureDefinition& definition : defs) {
+      EPL_ASSERT_OK(runtime.Deploy(alice, definition, Recorder(&live)));
+    }
+    for (size_t i = 0; i < frames.size(); ++i) {
+      if (i == cut) {
+        EPL_ASSERT_OK(runtime.Checkpoint());
+        at_cut = live.size();
+      }
+      EPL_ASSERT_OK(runtime.PushFrame(alice, frames[i]));
+    }
+    EPL_ASSERT_OK(runtime.Flush());
+    // No clean shutdown: the runtime simply goes away.
+  }
+  const std::vector<DetectionRecord> after_cut(
+      live.begin() + static_cast<std::ptrdiff_t>(at_cut), live.end());
+
+  // A gesture is in flight across the cut: it started before the
+  // checkpoint and completes after it.
+  ASSERT_FALSE(after_cut.empty());
+  EXPECT_LT(after_cut.front().pose_times.front(), frames[cut].timestamp);
+
+  stream::StreamEngine engine;
+  std::vector<DetectionRecord> recovered;
+  EPL_ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<GestureRuntime> runtime,
+      GestureRuntime::Recover(&engine, options,
+                              [&](SessionId, const std::string&) {
+                                return Recorder(&recovered);
+                              }));
+  EXPECT_EQ(recovered, after_cut);
 }
 
 TEST(WorkflowDurabilityTest, SessionIdsNeverRecycleAcrossRecovery) {
