@@ -42,6 +42,28 @@ class SimdKernelTest : public ::testing::Test {
   }
 };
 
+TEST_F(SimdKernelTest, AndIntoMatchesScalarAtEveryWidth) {
+  // A plain dst &= src is and_rows over one row. stride > words keeps every
+  // width off the contiguous narrow-row broadcast, so the per-row AND loop
+  // (the vector body plus its scalar tail) is what gets compared.
+  Rng rng(0x51D0001);
+  for (size_t words : kWordCounts) {
+    // offset 1 forces a 32-byte-misaligned start: the kernels must not
+    // rely on the aligned storage the bank happens to provide.
+    for (size_t offset : {size_t{0}, size_t{1}}) {
+      const std::vector<uint64_t> src = RandomWords(&rng, words + offset);
+      const std::vector<uint64_t> original = RandomWords(&rng, words + offset);
+      std::vector<uint64_t> scalar = original;
+      std::vector<uint64_t> avx2 = original;
+      ScalarKernels().and_rows(scalar.data() + offset, words + 1, 1,
+                               src.data() + offset, words);
+      Avx2Kernels().and_rows(avx2.data() + offset, words + 1, 1,
+                             src.data() + offset, words);
+      EXPECT_EQ(scalar, avx2) << "words=" << words << " offset=" << offset;
+    }
+  }
+}
+
 TEST_F(SimdKernelTest, AndNotIntoMatchesScalarAtEveryWidth) {
   Rng rng(0x51D0002);
   for (size_t words : kWordCounts) {
